@@ -4,13 +4,18 @@ GO ?= go
 # and soak runs override it (FUZZTIME=2m make fuzz).
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check bench-scaling bench-smoke
+.PHONY: build test test-cpu vet lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check bench-scaling bench-smoke
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# Re-run the engine and plan suites at 1 and 4 CPUs (GOMAXPROCS), so a
+# test that only holds at the host's CPU count fails on every host.
+test-cpu: build
+	$(GO) test -cpu 1,4 ./internal/engine ./internal/plan
 
 # Stock go vet passes.
 vet:
@@ -88,7 +93,7 @@ spill-smoke:
 	@echo "spill-smoke: budgeted output identical"
 
 # The tier-1 gate: everything a change must pass before merging.
-check: build test vet lint race explain-smoke serve-smoke spill-smoke
+check: build test test-cpu vet lint race explain-smoke serve-smoke spill-smoke
 
 # Parallel speedup on Q1/Q3/Q6/Q18 at 1/2/4/8 workers (SF via WIMPI_BENCH_SF).
 bench-scaling:

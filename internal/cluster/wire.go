@@ -323,10 +323,13 @@ type rpcConn struct {
 
 	mu sync.Mutex // serializes calls
 
-	sm     sync.Mutex // guards conn/cw/broken (also touched by abort)
+	sm     sync.Mutex // guards conn/cw/broken/gen (also touched by abort)
 	conn   net.Conn
 	cw     *countingRW
 	broken bool
+	// gen numbers call abort windows: begin and end both bump it, so a
+	// ctx watcher holding a stale generation knows its call returned.
+	gen uint64
 }
 
 func newRPCConn(addr string, dialTimeout time.Duration) *rpcConn {
@@ -355,14 +358,46 @@ func (c *rpcConn) ensure(ctx context.Context) (net.Conn, *countingRW, error) {
 	return c.conn, c.cw, nil
 }
 
-// abort breaks the connection from outside an in-flight call, unblocking
-// any pending read/write immediately.
+// abort breaks the connection, unblocking any pending read/write
+// immediately.
 func (c *rpcConn) abort() {
 	c.sm.Lock()
 	defer c.sm.Unlock()
+	c.abortLocked()
+}
+
+// abortLocked is abort for a caller already holding c.sm.
+func (c *rpcConn) abortLocked() {
 	c.broken = true
 	if c.conn != nil {
 		_ = c.conn.Close() // tearing down a conn we just declared broken
+	}
+}
+
+// begin opens a call's abort window and returns its generation.
+func (c *rpcConn) begin() uint64 {
+	c.sm.Lock()
+	defer c.sm.Unlock()
+	c.gen++
+	return c.gen
+}
+
+// end closes the abort window begin opened.
+func (c *rpcConn) end() {
+	c.sm.Lock()
+	defer c.sm.Unlock()
+	c.gen++
+}
+
+// abortCall is abort on behalf of call gen's ctx watcher. It only takes
+// effect while that call is in flight: a watcher that wakes after its
+// call returned (say, to the cancel its caller runs right after the
+// call) must not break the connection the next call uses.
+func (c *rpcConn) abortCall(gen uint64) {
+	c.sm.Lock()
+	defer c.sm.Unlock()
+	if c.gen == gen {
+		c.abortLocked()
 	}
 }
 
@@ -399,11 +434,13 @@ func (c *rpcConn) call(ctx context.Context, req *Request) (*Response, int64, err
 		return nil, 0, transportErr(ctx, "deadline", req.Type, err)
 	}
 	// Unblock the exchange promptly if ctx is canceled mid-IO.
+	gen := c.begin()
+	defer c.end()
 	stop := make(chan struct{})
 	go func() {
 		select {
 		case <-ctx.Done():
-			c.abort()
+			c.abortCall(gen)
 		case <-stop:
 		}
 	}()

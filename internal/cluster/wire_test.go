@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -250,4 +253,61 @@ func TestWorkerSurvivesGarbageStream(t *testing.T) {
 		t.Fatalf("worker died after garbage: %v", err)
 	}
 	coord.Close()
+}
+
+// TestCancelAfterCallKeepsConnection is the regression test for the ctx
+// watcher race: callRetry cancels each attempt's context right after the
+// call returns, and a watcher goroutine that only runs then must not
+// abort the connection the next call uses. The server queues every
+// response up front, so a call finds its reply already buffered and
+// returns without yielding; on a single P its watcher then first runs
+// after the cancel, with its stop and ctx.Done() channels both ready.
+// Every call must succeed on the first connection — a late abort shows
+// up as a transport error or a redial.
+func TestCancelAfterCallKeepsConnection(t *testing.T) {
+	const calls = 2000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepts atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			go func() {
+				for i := 0; i < calls; i++ {
+					if writeMsg(conn, &Response{}) != nil {
+						return
+					}
+				}
+			}()
+			go func() {
+				io.Copy(io.Discard, conn) // requests need no reading; EOF means the client hung up
+				conn.Close()
+			}()
+		}
+	}()
+
+	c := newRPCConn(ln.Addr().String(), 5*time.Second)
+	defer c.close()
+	for i := 0; i < calls; i++ {
+		// The attempt shape of callRetry: a per-call deadline context,
+		// canceled as soon as the call returns.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, _, err := c.call(ctx, &Request{Type: "ping", ForNode: -1})
+		cancel()
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if n := accepts.Load(); n != 1 {
+			t.Fatalf("call %d: server accepted %d connections, want 1: a late watcher aborted the connection", i, n)
+		}
+		runtime.Gosched() // let the late watcher run before the next call
+	}
 }

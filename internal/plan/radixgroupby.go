@@ -5,20 +5,27 @@ package plan
 // so each partition's grouper stays cache-resident; partitions aggregate
 // independently as morsels.
 //
-// The output is byte-identical to groupedMorsel's. Group order: within a
-// partition rows arrive in ascending original order (the radix scatter
-// is stable), so each partition-local group's first occurrence is the
-// key's global first occurrence; sorting all partition-local groups by
-// first-occurrence row reproduces the global first-occurrence order both
-// existing paths emit. Float sums: groupedMorsel folds rows left-to-right
-// within each morsel and then folds the per-morsel partials in morsel
-// order, so the radix path reproduces that exact association by cutting
-// its per-group fold at every morsel boundary.
+// The output is byte-identical to groupedMorsel's.
+//
+// Group order: within a partition rows arrive in ascending original
+// order (the radix scatter is stable), so each partition-local group's
+// first occurrence is the key's global first occurrence. Those rows are
+// unique in [0, n), so each partition scatters its groups into a dense
+// slot array indexed by first-occurrence row, and one sweep of that
+// array in row order reproduces the global first-occurrence order both
+// existing paths emit — linear in the input, with no sort. The merge is
+// charged as one random access per group (the scatter), sequential
+// bytes for the slot array's fill and sweep, and merge bytes for
+// assembling the aggregate columns.
+//
+// Float sums: groupedMorsel folds rows left-to-right within each morsel
+// and then folds the per-morsel partials in morsel order, so the radix
+// path reproduces that exact association by cutting its per-group fold
+// at every morsel boundary.
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
@@ -72,15 +79,51 @@ func useRadixGroupBy(estGroups int, llcBytes int64) bool {
 
 // radixGroupPart is one partition's aggregation state.
 type radixGroupPart struct {
-	firstRow []int32 // local gid -> global row of first occurrence
-	aggs     []aggState
+	ngroups int
+	aggs    []aggState
 }
 
-// groupRef locates one partition-local group for the global merge.
-type groupRef struct {
-	row  int32 // global first-occurrence row (unique: the sort key)
-	part int32
-	lg   int32
+// groupRef packs a partition-local group (part, lg) into a slot of the
+// dense first-row merge array. Zero marks an empty slot, so a freshly
+// allocated array needs no fill pass.
+func groupRef(part, lg int) int64 { return int64(part)<<32 | int64(lg) + 1 }
+
+// unpackGroupRef inverts groupRef for a non-empty slot.
+func unpackGroupRef(ref int64) (part, lg int32) {
+	ref--
+	return int32(ref >> 32), int32(ref)
+}
+
+// scatterFirstRows writes each group of partition p into slot at its
+// global first-occurrence row. The grouper numbers groups in order of
+// first appearance, so group next first occurs where gid == next.
+func scatterFirstRows(slot []int64, p int, gids, rows []int32, ctr *exec.Counters) {
+	next := int32(0)
+	for i, gid := range gids {
+		if gid == next {
+			slot[rows[i]] = groupRef(p, int(gid))
+			next++
+		}
+	}
+	ctr.RandomAccesses += int64(next)
+}
+
+// sweepFirstRows visits slot in row order and returns the packed refs of
+// the ngroups non-empty slots with their rows. It compacts refs into
+// slot's own prefix (the write index never passes the read index). The
+// slot array is charged as streamed twice: its zero fill at allocation
+// and this sweep.
+func sweepFirstRows(slot []int64, ngroups int, ctr *exec.Counters) (refs []int64, firstRow []int32) {
+	refs = slot[:0]
+	firstRow = make([]int32, 0, ngroups)
+	for r, ref := range slot {
+		if ref != 0 {
+			refs = append(refs, ref)
+			firstRow = append(firstRow, int32(r))
+		}
+	}
+	ctr.SeqBytes += 2 * 8 * int64(len(slot))
+	return refs, firstRow
 }
 
 // groupedRadix is the radix-partitioned grouped aggregation path.
@@ -133,6 +176,10 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 
 	// Each partition aggregates independently into a cache-sized grouper;
 	// partitions are morsels, so worker count never changes results.
+	// Every partition-local group is also scattered into slot at its
+	// global first-occurrence row. Those rows are unique in [0, n), so
+	// the writes of different partitions never collide.
+	slot := make([]int64, in.NumRows())
 	np := rp.NumPartitions()
 	parts := make([]*radixGroupPart, np)
 	err = exec.RunMorsels(w, np, 1, ctx.Ctr, func(p, _, _ int, c *exec.Counters) error {
@@ -142,15 +189,8 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 		gr := exec.NewGrouper(256)
 		gids := gr.GroupIDsCacheResident(keys, c)
 		ng := gr.NumGroups()
-		part := &radixGroupPart{firstRow: make([]int32, ng), aggs: make([]aggState, len(g.Aggs))}
-		for i := range part.firstRow {
-			part.firstRow[i] = -1
-		}
-		for i, gid := range gids {
-			if part.firstRow[gid] < 0 {
-				part.firstRow[gid] = rows[i]
-			}
-		}
+		part := &radixGroupPart{ngroups: ng, aggs: make([]aggState, len(g.Aggs))}
+		scatterFirstRows(slot, p, gids, rows, c)
 		for si, spec := range g.Aggs {
 			st := &part.aggs[si]
 			switch spec.Func {
@@ -176,25 +216,13 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 		return nil, err
 	}
 
-	// Global merge: order every partition-local group by its (unique)
-	// first-occurrence row. That is exactly the first-occurrence order
-	// the direct paths assign group IDs in.
-	total := 0
+	// Global merge: one sweep of slot in row order yields every group in
+	// the global first-occurrence order the direct paths emit.
+	ngroups := 0
 	for _, part := range parts {
-		total += len(part.firstRow)
+		ngroups += part.ngroups
 	}
-	refs := make([]groupRef, 0, total)
-	for p, part := range parts {
-		for lg, fr := range part.firstRow {
-			refs = append(refs, groupRef{row: fr, part: int32(p), lg: int32(lg)})
-		}
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].row < refs[j].row })
-	ngroups := len(refs)
-	firstRow := make([]int32, ngroups)
-	for i, r := range refs {
-		firstRow[i] = r.row
-	}
+	refs, firstRow := sweepFirstRows(slot, ngroups, ctx.Ctr)
 	ctx.Ctr.AggUpdates += int64(ngroups) * int64(len(g.Aggs))
 	ctx.Ctr.MergeBytes += int64(ngroups) * int64(12+16*len(g.Aggs))
 
@@ -215,22 +243,25 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 		switch spec.Func {
 		case Count, SumI:
 			out := make([]int64, ngroups)
-			for i, r := range refs {
-				out[i] = parts[r.part].aggs[si].i[r.lg]
+			for i, ref := range refs {
+				p, lg := unpackGroupRef(ref)
+				out[i] = parts[p].aggs[si].i[lg]
 			}
 			col = &colstore.Int64s{V: out}
 		case Sum, Min, Max:
 			out := make([]float64, ngroups)
-			for i, r := range refs {
-				out[i] = parts[r.part].aggs[si].f[r.lg]
+			for i, ref := range refs {
+				p, lg := unpackGroupRef(ref)
+				out[i] = parts[p].aggs[si].f[lg]
 			}
 			col = &colstore.Float64s{V: out}
 		case Avg:
 			out := make([]float64, ngroups)
-			for i, r := range refs {
-				st := &parts[r.part].aggs[si]
-				if st.i[r.lg] > 0 {
-					out[i] = st.f[r.lg] / float64(st.i[r.lg])
+			for i, ref := range refs {
+				p, lg := unpackGroupRef(ref)
+				st := &parts[p].aggs[si]
+				if st.i[lg] > 0 {
+					out[i] = st.f[lg] / float64(st.i[lg])
 				}
 			}
 			ctx.Ctr.FloatOps += int64(ngroups)
