@@ -54,7 +54,7 @@ chaos:
 	$(GO) test -race -timeout 120s -run 'Chaos|Fault|Frame|Close|Worker' ./internal/cluster/...
 
 # Native Go fuzzing over the wire decoder, the fault-plan parser, and
-# the compressed int encodings. Targets run one at a time (the fuzz
+# the SQL lexer and parser. Targets run one at a time (the fuzz
 # engine's requirement).
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
@@ -62,8 +62,6 @@ fuzz:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz FuzzLexer -fuzztime $(FUZZTIME) -run '^$$' ./internal/sql/
 	$(GO) test -fuzz FuzzParser -fuzztime $(FUZZTIME) -run '^$$' ./internal/sql/
-	$(GO) test -fuzz FuzzBitPackRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
-	$(GO) test -fuzz FuzzFoRRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
 
 # EXPLAIN ANALYZE smoke test: run Q1 with -explain and assert the span
 # tree came back non-empty (the scan operator must appear with its sim
@@ -101,7 +99,7 @@ bench-scaling:
 
 # Radix-partitioned vs chained hash join sweep (BENCH_join.json, with
 # host and simulated-Pi speedups reported side by side), fused-vs-vector
-# execution on Q1/Q6/Q14 (BENCH_fused.json), and the budget-bounded
+# execution on Q1-Q22 (BENCH_fused.json), and the budget-bounded
 # spill vs swap-thrash trajectory (BENCH_spill.json).
 # WIMPI_BENCH_BIG=1 adds a join build side that also overflows a
 # server-class host LLC.

@@ -766,13 +766,13 @@ func BenchmarkAblationHybridCluster(b *testing.B) {
 }
 
 // BenchmarkFusedVsVector measures fused pipeline compilation against
-// operator-at-a-time execution on scan-heavy queries (Q1, Q6 — one
-// pipeline, no joins) and a join-bearing query (Q14). Each mode reports
-// host wall clock and the simulated Pi 3B+ time of its recorded work
-// profile; the fused path's win is the materialization traffic it never
-// generates, which on the bandwidth-starved Pi is worth more than on
-// the host. Results land in BENCH_fused.json; auto should track the
-// faster engine per query within noise.
+// operator-at-a-time execution on all 22 TPC-H queries, from one-pipeline
+// scans (Q1, Q6) to multi-join plans. Each mode reports host wall clock
+// and the simulated Pi 3B+ time of its recorded work profile; the fused
+// path's win is the materialization traffic it never generates, which
+// on the bandwidth-starved Pi is worth more than on the host. Results
+// land in BENCH_fused.json, the evidence that the fused path pays for
+// itself; auto should track the faster engine per query within noise.
 func BenchmarkFusedVsVector(b *testing.B) {
 	const workers = 4
 	data, _ := fixture(b)
@@ -798,7 +798,7 @@ func BenchmarkFusedVsVector(b *testing.B) {
 		AutoVsBestPiMs float64 `json:"auto_vs_best_pi_ms"`
 	}
 	var results []fusedBenchResult
-	for _, q := range []int{1, 6, 14} {
+	for _, q := range tpch.QueryNumbers() {
 		node, err := tpch.Query(q)
 		if err != nil {
 			b.Fatal(err)

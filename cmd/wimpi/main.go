@@ -42,7 +42,6 @@ func main() {
 	planOnly := flag.Bool("plan", false, "print the physical plan instead of executing")
 	explain := flag.Bool("explain", false, "EXPLAIN ANALYZE: execute, then print the operator span tree with wall and simulated time")
 	profileName := flag.String("profile", "Pi 3B+", "hardware profile attributed in -explain output (see hardware.Profiles)")
-	analyze := flag.Bool("analyze", false, "execute with per-operator instrumentation (legacy tabular EXPLAIN ANALYZE)")
 	simulate := flag.Bool("simulate", false, "print simulated runtimes for every Table I profile")
 	rows := flag.Int("rows", 10, "result rows to print")
 	save := flag.String("save", "", "after generating, snapshot the dataset to this directory")
@@ -154,14 +153,6 @@ func main() {
 				fmt.Print(choices)
 			}
 			fmt.Printf("%s\n", out)
-			return
-		}
-		if *analyze {
-			an, err := db.Analyze(node)
-			if err != nil {
-				fatalf("%s: %v", label, err)
-			}
-			fmt.Printf("-- %s (analyzed): %d rows --\n%s\n", label, an.Table.NumRows(), an.Render())
 			return
 		}
 		res, err := db.Run(node)

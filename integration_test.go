@@ -179,11 +179,11 @@ func TestExamplesRun(t *testing.T) {
 	}
 }
 
-func TestCLIAnalyzeAndSnapshot(t *testing.T) {
-	out := run(t, "wimpi", "-sf", "0.005", "-q", "3", "-analyze")
-	for _, want := range []string{"analyzed", "operator", "scan lineitem", "rnd-acc"} {
+func TestCLIExplainAndSnapshot(t *testing.T) {
+	out := run(t, "wimpi", "-sf", "0.005", "-q", "3", "-explain")
+	for _, want := range []string{"explain analyze", "operator", "scan lineitem", "sim(Pi 3B+)", "total:"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("analyze output missing %q:\n%s", want, out)
+			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
 	dir := filepath.Join(t.TempDir(), "snap")

@@ -63,9 +63,9 @@ func TestWireTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireTableDensifiesEncodedColumns: compressed int encodings
-// (bit-packed, FoR, RLE) densify to plain int64 frames on the wire
-// instead of silently serializing as empty columns.
+// TestWireTableDensifiesEncodedColumns: RLE-encoded int columns densify
+// to plain int64 frames on the wire instead of silently serializing as
+// empty columns.
 func TestWireTableDensifiesEncodedColumns(t *testing.T) {
 	const n = 257
 	v := make([]int64, n)
@@ -73,22 +73,12 @@ func TestWireTableDensifiesEncodedColumns(t *testing.T) {
 		v[i] = 1_000_000 + int64(i%7)
 	}
 	plain := &colstore.Int64s{V: v}
-	bp, ok := colstore.BitPackInt64(&colstore.Int64s{V: append([]int64(nil), v...)})
-	if !ok {
-		t.Fatal("bit-pack refused a narrow column")
-	}
-	fr, ok := colstore.FoRCompressInt64(&colstore.Int64s{V: append([]int64(nil), v...)})
-	if !ok {
-		t.Fatal("FoR refused a narrow-range column")
-	}
 	rle := colstore.CompressInt64(&colstore.Int64s{V: append([]int64(nil), v...)})
 
 	orig, err := colstore.NewTable("t", colstore.Schema{
 		{Name: "plain", Type: colstore.Int64},
-		{Name: "bp", Type: colstore.Int64},
-		{Name: "for", Type: colstore.Int64},
 		{Name: "rle", Type: colstore.Int64},
-	}, []colstore.Column{plain, bp, fr, rle})
+	}, []colstore.Column{plain, rle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +86,7 @@ func TestWireTableDensifiesEncodedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"plain", "bp", "for", "rle"} {
+	for _, name := range []string{"plain", "rle"} {
 		col, ok := got.MustCol(name).(*colstore.Int64s)
 		if !ok {
 			t.Fatalf("column %q did not arrive as plain int64", name)

@@ -72,10 +72,10 @@ func ToWire(t *colstore.Table) *WireTable {
 			wc.Codes = col.Codes
 			wc.Dict = col.Dict.Values()
 		default:
-			// Compressed int encodings (bit-packed, FoR, RLE) densify for
-			// the wire: the encoding is a node-local storage choice, and a
-			// plain frame keeps the protocol independent of it. Without
-			// this, an encoded column would serialize as an empty one.
+			// RLE-encoded int columns densify for the wire: the
+			// encoding is a node-local storage choice, and a plain frame
+			// keeps the protocol independent of it. Without this, an
+			// encoded column would serialize as an empty one.
 			if rd, n, ok := colstore.Int64Reader(c); ok {
 				v := make([]int64, n)
 				for r := range v {

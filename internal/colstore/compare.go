@@ -29,35 +29,28 @@ func TablesIdentical(a, b *Table) (bool, string) {
 	return true, ""
 }
 
-// int64Reader returns a row accessor for any int64 encoding — dense,
-// run-length, bit-packed, or frame-of-reference — so comparisons and
-// concatenation see logical values regardless of layout.
-func int64Reader(c Column) (func(i int) int64, int, bool) {
+// Int64Reader returns a row accessor for any int64 encoding — dense or
+// run-length — so comparisons and concatenation see logical values
+// regardless of layout. The wire layer densifies encoded columns with
+// it before gob encoding, and the engine's table formatter renders
+// cells from any encoding.
+func Int64Reader(c Column) (func(i int) int64, int, bool) {
 	switch cc := c.(type) {
 	case *Int64s:
 		return func(i int) int64 { return cc.V[i] }, len(cc.V), true
 	case *RLEInt64:
 		return func(i int) int64 { return cc.Value(int32(i)) }, cc.Len(), true
-	case *BitPackedInt64:
-		return func(i int) int64 { return cc.Value(int32(i)) }, cc.Len(), true
-	case *FoRInt64:
-		return func(i int) int64 { return cc.Value(int32(i)) }, cc.Len(), true
 	}
 	return nil, 0, false
 }
-
-// Int64Reader is int64Reader for callers outside the package (the wire
-// layer densifies encoded columns before gob encoding, the engine's
-// table formatter renders cells from any encoding).
-func Int64Reader(c Column) (func(i int) int64, int, bool) { return int64Reader(c) }
 
 // ColumnsIdentical reports whether two columns hold bit-identical
 // values (see TablesIdentical). Like strings (compared by value across
 // dictionary layouts), int64 columns compare by logical value across
 // encodings: an RLE column equals the plain column it decodes to.
 func ColumnsIdentical(a, b Column) (bool, string) {
-	if ra, na, ok := int64Reader(a); ok {
-		rb, nb, okB := int64Reader(b)
+	if ra, na, ok := Int64Reader(a); ok {
+		rb, nb, okB := Int64Reader(b)
 		if !okB || na != nb {
 			return false, "type/length mismatch"
 		}

@@ -101,3 +101,22 @@ func TestColumnsIdenticalRLEVersusPlain(t *testing.T) {
 		t.Error("length mismatch compared identical")
 	}
 }
+
+func TestColumnsIdenticalAcrossPackedEncodings(t *testing.T) {
+	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	dense := &Int64s{V: vals}
+	rle := CompressInt64(dense)
+	for _, pair := range [][2]Column{{rle, dense}, {dense, rle}, {rle, CompressInt64(dense)}} {
+		if ok, why := ColumnsIdentical(pair[0], pair[1]); !ok {
+			t.Fatalf("%T vs %T: %s", pair[0], pair[1], why)
+		}
+	}
+	other := &Int64s{V: []int64{3, 1, 4, 1, 5, 9, 2, 7}}
+	if ok, _ := ColumnsIdentical(rle, other); ok {
+		t.Fatal("differing columns reported identical")
+	}
+	shorter := &Int64s{V: vals[:7]}
+	if ok, _ := ColumnsIdentical(rle, shorter); ok {
+		t.Fatal("length mismatch reported identical")
+	}
+}

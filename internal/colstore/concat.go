@@ -32,16 +32,16 @@ func Concat(tables ...*Table) (*Table, error) {
 	for ci, f := range first.Schema {
 		switch f.Type {
 		case Int64:
-			// Int64 inputs may arrive in any encoding (dense, RLE,
-			// bit-packed, frame-of-reference); the concatenation reads
-			// logical values and produces a dense column.
+			// Int64 inputs may arrive dense or RLE-encoded; the
+			// concatenation reads logical values and produces a dense
+			// column.
 			v := make([]int64, 0, total)
 			for _, t := range tables {
 				if dense, ok := t.Cols[ci].(*Int64s); ok {
 					v = append(v, dense.V...)
 					continue
 				}
-				r, n, ok := int64Reader(t.Cols[ci])
+				r, n, ok := Int64Reader(t.Cols[ci])
 				if !ok {
 					return nil, fmt.Errorf("colstore: concat: unhandled int64 encoding %T in column %q",
 						t.Cols[ci], f.Name)

@@ -326,3 +326,20 @@ func TestConcatAllTypes(t *testing.T) {
 		t.Error("field-name mismatch accepted")
 	}
 }
+
+func TestConcatEncodedInt64Columns(t *testing.T) {
+	mk := func(c Column) *Table {
+		return MustNewTable("t", Schema{{Name: "k", Type: Int64}}, []Column{c})
+	}
+	a := []int64{5, 5, 5, 9}
+	b := []int64{0, 1, 2, 3}
+	c := []int64{1 << 40, 1<<40 + 1}
+	got, err := Concat(mk(CompressInt64(&Int64s{V: a})), mk(&Int64s{V: b}), mk(CompressInt64(&Int64s{V: c})), mk(&Int64s{V: nil}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(append([]int64{}, a...), b...), c...)
+	if ok, why := ColumnsIdentical(got.Cols[0], &Int64s{V: want}); !ok {
+		t.Fatalf("concat across encodings: %s", why)
+	}
+}

@@ -353,17 +353,10 @@ func formatCell(c colstore.Column, row int) string {
 	case *colstore.Bools:
 		return fmt.Sprintf("%t", col.V[row])
 	default:
-		// Compressed int encodings (bit-packed, FoR, RLE) decode per cell.
+		// RLE-encoded int columns decode per cell.
 		if rd, _, ok := colstore.Int64Reader(c); ok {
 			return fmt.Sprintf("%d", rd(row))
 		}
 		return "?"
 	}
-}
-
-// Analyze executes a plan with per-operator instrumentation (EXPLAIN
-// ANALYZE): each operator's output cardinality, footprint, wall-clock
-// time, and work profile.
-func (db *DB) Analyze(p plan.Node) (*plan.Analysis, error) {
-	return plan.AnalyzeContext(db.planCtx(db.Workers()), p)
 }

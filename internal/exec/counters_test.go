@@ -146,3 +146,28 @@ func TestCountersObserveAndTotalOps(t *testing.T) {
 		t.Errorf("TotalOps = %d, want 10", got)
 	}
 }
+
+func TestCountersSpillFields(t *testing.T) {
+	var a Counters
+	a.SpillWriteBytes = 100
+	a.SpillReadBytes = 40
+	a.ObserveResidentCap(1 << 20)
+	var b Counters
+	b.SpillWriteBytes = 11
+	b.SpillReadBytes = 2
+	b.ObserveResidentCap(1 << 10) // smaller cap must not lower the merge
+	a.Add(b)
+	if a.SpillWriteBytes != 111 || a.SpillReadBytes != 42 {
+		t.Fatalf("spill bytes must add: %+v", a)
+	}
+	if a.ResidentCapBytes != 1<<20 {
+		t.Fatalf("resident cap must max-merge: %d", a.ResidentCapBytes)
+	}
+	d := DiffCounters(b, a)
+	if d.SpillWriteBytes != 100 || d.SpillReadBytes != 40 {
+		t.Fatalf("spill bytes must diff additively: %+v", d)
+	}
+	if d.ResidentCapBytes != a.ResidentCapBytes {
+		t.Fatalf("resident cap diff must keep the after value: %d", d.ResidentCapBytes)
+	}
+}

@@ -234,7 +234,7 @@ func AsFloat64(c colstore.Column, ctr *Counters) ([]float64, error) {
 		}
 		ctr.IntOps += int64(len(out))
 		return out, nil
-	case *colstore.RLEInt64, *colstore.BitPackedInt64, *colstore.FoRInt64:
+	case *colstore.RLEInt64:
 		iv, err := AsInt64(c, ctr)
 		if err != nil {
 			return nil, err

@@ -14,10 +14,6 @@ func KeysFromColumn(col colstore.Column, sel []int32, ctr *Counters) ([]int64, e
 	switch c := col.(type) {
 	case *colstore.RLEInt64:
 		return KeysFromRLE(c, sel, ctr), nil
-	case *colstore.BitPackedInt64:
-		return KeysFromBitPacked(c, sel, ctr), nil
-	case *colstore.FoRInt64:
-		return KeysFromFoR(c, sel, ctr), nil
 	case *colstore.Int64s:
 		if sel == nil {
 			out := make([]int64, len(c.V))
@@ -113,4 +109,20 @@ func CombineKeys(hi, lo []int64, loBits uint, ctr *Counters) ([]int64, error) {
 // SplitKey unpacks a key produced by CombineKeys.
 func SplitKey(k int64, loBits uint) (hi, lo int64) {
 	return k >> loBits, k & (int64(1)<<loBits - 1)
+}
+
+// AsInt64 returns the column's values as a dense int64 slice, decoding
+// RLE. The result aliases the column's storage for dense columns. This
+// is the explicit materialization point for operators without a coded
+// path (aggregate arguments, sort keys); the decode is charged at the
+// compressed read footprint plus per-row unpack work.
+func AsInt64(c colstore.Column, ctr *Counters) ([]int64, error) {
+	switch v := c.(type) {
+	case *colstore.Int64s:
+		return v.V, nil
+	case *colstore.RLEInt64:
+		return KeysFromRLE(v, nil, ctr), nil
+	default:
+		return nil, fmt.Errorf("exec: cannot treat %s column as int64", c.Type())
+	}
 }

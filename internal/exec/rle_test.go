@@ -105,3 +105,72 @@ func TestCmpIPredOverRLE(t *testing.T) {
 		t.Errorf("got %v want %v", got, want)
 	}
 }
+
+func TestInIPredAcrossEncodings(t *testing.T) {
+	vals := []int64{3, 3, 3, 7, 7, 2, 9, 2, 2, 2}
+	mk := func(c colstore.Column) *colstore.Table {
+		return colstore.MustNewTable("t", colstore.Schema{{Name: "k", Type: colstore.Int64}}, []colstore.Column{c})
+	}
+	dense := &colstore.Int64s{V: vals}
+	rle := colstore.CompressInt64(dense)
+	cases := []struct {
+		list []int64
+		want []int32
+	}{
+		{[]int64{3, 9}, []int32{0, 1, 2, 6}},
+		{[]int64{2}, []int32{5, 7, 8, 9}},
+		{[]int64{100, -5}, nil}, // no value in the column
+		{[]int64{7, 1 << 50}, []int32{3, 4}},
+		{nil, nil},
+	}
+	for _, tc := range cases {
+		for _, col := range []colstore.Column{dense, rle} {
+			var c Counters
+			got, err := InI{Column: "k", Vals: tc.list}.Sel(mk(col), nil, &c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalSel(got, tc.want) {
+				t.Fatalf("%T in %v: %v, want %v", col, tc.list, got, tc.want)
+			}
+			// Selective path agrees with intersecting the dense answer.
+			in := []int32{1, 3, 6, 8}
+			gotSel, err := InI{Column: "k", Vals: tc.list}.Sel(mk(col), in, &c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantSel []int32
+			for _, i := range in {
+				for _, w := range tc.want {
+					if i == w {
+						wantSel = append(wantSel, i)
+					}
+				}
+			}
+			if !equalSel(gotSel, wantSel) {
+				t.Fatalf("%T in %v (sel): %v, want %v", col, tc.list, gotSel, wantSel)
+			}
+		}
+	}
+}
+
+func TestAsInt64Encodings(t *testing.T) {
+	vals := []int64{10, 10, 10, 999, -4, -4}
+	dense := &colstore.Int64s{V: vals}
+	rle := colstore.CompressInt64(dense)
+	for _, col := range []colstore.Column{dense, rle} {
+		var c Counters
+		got, err := AsInt64(col, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vals {
+			if got[i] != vals[i] {
+				t.Fatalf("%T row %d: %d, want %d", col, i, got[i], vals[i])
+			}
+		}
+	}
+	if _, err := AsInt64(&colstore.Float64s{V: []float64{1}}, &Counters{}); err == nil {
+		t.Fatal("float column must not convert")
+	}
+}

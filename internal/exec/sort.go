@@ -41,7 +41,7 @@ func sortComparators(t *colstore.Table, keys []SortKey, ctr *Counters) ([]rowCmp
 		switch col := c.(type) {
 		case *colstore.Int64s:
 			f = func(a, b int32) int { return cmpOrder(col.V[a], col.V[b]) }
-		case *colstore.RLEInt64, *colstore.BitPackedInt64, *colstore.FoRInt64:
+		case *colstore.RLEInt64:
 			vals, err := AsInt64(c, ctr)
 			if err != nil {
 				return nil, err

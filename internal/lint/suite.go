@@ -24,10 +24,9 @@ type ScopedAnalyzer struct {
 //     frontend whose plan choices must be identical on every node that
 //     plans the same shipped statement.
 //   - costaccounting guards the internal/exec subtree (including
-//     exec/fused's compiled row kernels and the coded-column kernels
-//     that evaluate on compressed representations) plus internal/spill,
-//     the places kernels charge the counters the hardware simulation
-//     consumes — a spill write that skips SpillWriteBytes makes disk
+//     exec/fused's compiled row kernels and the RLE kernels) plus
+//     internal/spill, the places kernels charge the counters the
+//     hardware simulation consumes — a spill write that skips SpillWriteBytes makes disk
 //     I/O free in the simulated comparison.
 //   - ctxcheck guards the cluster layer's RPC and wire protocol and the
 //     spill area's file I/O, whose chunked reads and writes must stop

@@ -27,6 +27,7 @@ import (
 	"wimpi/internal/obs"
 	"wimpi/internal/plan"
 	"wimpi/internal/sql"
+	"wimpi/internal/tpch"
 )
 
 // Config shapes a Server.
@@ -207,9 +208,12 @@ func (s *Server) runPlan(ctx context.Context, tn *tenant, p plan.Node) (*QueryRe
 	return &QueryResult{Result: res, Fingerprint: fp}, nil
 }
 
-// RunSQL plans and serves one SQL statement.
+// RunSQL plans and serves one SQL statement. It declares the TPC-H
+// unique keys, as cmd/wimpi and the cluster workers do: without them the
+// planner cannot prove a left join's group-by key unique and rejects
+// TPC-H Q13.
 func (s *Server) RunSQL(ctx context.Context, tenant, text string) (*QueryResult, error) {
-	planned, err := sql.Plan(s.db, text, sql.Options{})
+	planned, err := sql.Plan(s.db, text, sql.Options{UniqueKeys: tpch.TableKeys()})
 	if err != nil {
 		return nil, err
 	}

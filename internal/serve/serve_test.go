@@ -285,3 +285,33 @@ func TestServeTenantMetricsLabeled(t *testing.T) {
 		t.Errorf("TYPE line for queries_total appears %d times, want 1", got)
 	}
 }
+
+// TestServeRunSQLAllQueries: every TPC-H statement served through the
+// SQL front answers byte-identically to the hand-built plan run on the
+// engine directly. Q13's left join needs the declared TPC-H keys.
+func TestServeRunSQLAllQueries(t *testing.T) {
+	db, closePool := testDB(t, 2)
+	defer closePool()
+	s := New(Config{DB: db, Registry: obs.NewRegistry()})
+	for _, q := range tpch.QueryNumbers() {
+		text, err := tpch.SQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.RunSQL(context.Background(), "t", text)
+		if err != nil {
+			t.Fatalf("Q%d: RunSQL: %v", q, err)
+		}
+		p, err := tpch.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.Run(p)
+		if err != nil {
+			t.Fatalf("Q%d: engine run: %v", q, err)
+		}
+		if ok, why := colstore.TablesIdentical(got.Table, want.Table); !ok {
+			t.Errorf("Q%d: SQL result differs from the engine's: %s", q, why)
+		}
+	}
+}
